@@ -120,7 +120,8 @@ pub struct ShardBench {
     pub build_ms: f64,
     /// Aggregate footprint (per-shard indexes + owned chunks).
     pub size_bytes: usize,
-    /// Microseconds per query through the routing executor.
+    /// Microseconds per query through the shard fan-out (every shard in
+    /// turn on the calling thread).
     pub query_us: f64,
     /// `(threads, build_ms)` of the parallel shard-build sweep; every point
     /// is asserted answer-identical to the serial build before its timing
@@ -502,9 +503,9 @@ pub fn render_space_json(config: &SpaceBenchConfig, results: &[SpaceDatasetBench
          by the opened index's typed views. Before timing, every loaded index is asserted \
          byte-identical on re-save and answer-identical on the pattern set (v3 stream, v3 \
          arena-open and packed paths alike), and every sharded configuration is asserted \
-         answer-identical to the unsharded index. Sharded query times route through the \
-         QueryBatch executor with per-shard scratch — on a single-CPU host they measure the \
-         routing overhead, not parallelism.\",\n",
+         answer-identical to the unsharded index. A sharded query visits every shard in turn \
+         on the calling thread with one reused scratch, so its time is the unsharded time \
+         plus the per-shard fixed cost, never a parallel speedup.\",\n",
     );
     out.push_str("  \"datasets\": [\n");
     for (i, d) in results.iter().enumerate() {

@@ -495,11 +495,12 @@ impl MinimizerIndex {
         validate_pattern(pattern, self.params.ell)?;
         // Stage tracing is sampled: only queries that draw a ticket (1 in
         // `clock::STAGE_SAMPLE_EVERY` per thread, never while the clock is
-        // stubbed) pay for clock stamps. A timed query's stamps are chained
-        // — each boundary is read once and ends one stage while starting
-        // the next, so four stages cost five reads; an untimed query pays
-        // one thread-local tick and leaves the stage fields 0.
-        let timed = clock::stage_ticket();
+        // stubbed; one per composite query) pay for clock stamps. A timed
+        // query's stamps are chained — each boundary is read once and ends
+        // one stage while starting the next, so four stages cost five
+        // reads; an untimed query pays one thread-local tick and leaves
+        // the stage fields 0.
+        let timed = scratch.stage_ticket();
         let stamp = || if timed { clock::now_ns() } else { 0 };
         let t_scan = stamp();
         let mu = self

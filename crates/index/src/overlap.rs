@@ -13,11 +13,15 @@
 //!   (the chunk extends `max_pattern_len − 1` positions past the home end).
 //! * **No duplication:** each part reports only starts inside its own home
 //!   range; hits in the overlap region (starts belonging to the *next*
-//!   part's home range) are dropped by [`retain_home_and_globalize`]. That
-//!   single filter is the deduplication.
+//!   part's home range) are dropped by [`HomeRangeSink`]. That single
+//!   filter is the deduplication.
 //! * **Global order for free:** home ranges are disjoint and increasing and
 //!   each part's output is sorted, so the concatenation of the filtered
 //!   per-part outputs is globally sorted — the final merge needs no sort.
+//!   The parts can therefore stream, one after the other, straight into
+//!   one shared buffer.
+
+use ius_query::MatchSink;
 
 /// The chunk overlap implied by a maximum supported pattern length: a
 /// window of at most `max_pattern_len` letters starting on the last home
@@ -41,17 +45,40 @@ pub fn chunk_end(offset: usize, home_len: usize, overlap: usize, n: usize) -> us
     (offset + home_len + overlap).min(n)
 }
 
-/// The dedup-and-translate step of the composite query fan-out: keeps only
-/// chunk-local starts inside the home range (`pos < home_len` — overlap
-/// hits are the next part's responsibility) and translates the survivors to
-/// global coordinates by adding the part's `offset`.
+/// The dedup-and-translate step of the composite query fan-out, as a
+/// sink one part's engine streams into: keeps only chunk-local starts
+/// inside the home range (`pos < home_len` — overlap hits are the next
+/// part's responsibility) and appends them to `out` in global
+/// coordinates (`pos + offset`).
 ///
-/// The input order is preserved, so a sorted per-part output stays sorted.
-#[inline]
-pub fn retain_home_and_globalize(positions: &mut Vec<usize>, home_len: usize, offset: usize) {
-    positions.retain(|&pos| pos < home_len);
-    for pos in positions.iter_mut() {
-        *pos += offset;
+/// The input order is preserved, so a part's sorted output lands sorted,
+/// and parts streamed in home-range order leave `out` globally sorted.
+#[derive(Debug)]
+pub struct HomeRangeSink<'a> {
+    out: &'a mut Vec<usize>,
+    home_len: usize,
+    offset: usize,
+}
+
+impl<'a> HomeRangeSink<'a> {
+    /// A sink for the part whose home range is
+    /// `[offset, offset + home_len)`, appending to `out`.
+    pub fn new(out: &'a mut Vec<usize>, home_len: usize, offset: usize) -> Self {
+        Self {
+            out,
+            home_len,
+            offset,
+        }
+    }
+}
+
+impl MatchSink for HomeRangeSink<'_> {
+    #[inline]
+    fn push(&mut self, pos: usize) -> bool {
+        if pos < self.home_len {
+            self.out.push(pos + self.offset);
+        }
+        true
     }
 }
 
@@ -72,19 +99,28 @@ mod tests {
         assert_eq!(chunk_end(95, 5, 0, 100), 100);
     }
 
+    fn stream(out: &mut Vec<usize>, positions: &[usize], home_len: usize, offset: usize) {
+        let mut sink = HomeRangeSink::new(out, home_len, offset);
+        for &pos in positions {
+            assert!(sink.push(pos), "the home filter never stops a part");
+        }
+    }
+
     #[test]
     fn home_filter_drops_overlap_hits_and_translates_the_rest() {
-        let mut positions = vec![0, 3, 9, 10, 14];
-        retain_home_and_globalize(&mut positions, 10, 100);
+        let mut positions = Vec::new();
+        stream(&mut positions, &[0, 3, 9, 10, 14], 10, 100);
         assert_eq!(positions, vec![100, 103, 109]);
-        // Order (and hence global sortedness) is preserved.
-        assert!(positions.windows(2).all(|w| w[0] < w[1]));
+        // Order (and hence global sortedness) is preserved, also across
+        // parts streamed in home-range order into the same buffer.
+        stream(&mut positions, &[0, 4, 12], 10, 110);
+        assert_eq!(positions, vec![100, 103, 109, 110, 114]);
     }
 
     #[test]
     fn home_filter_handles_empty_inputs() {
         let mut positions: Vec<usize> = Vec::new();
-        retain_home_and_globalize(&mut positions, 5, 7);
+        stream(&mut positions, &[], 5, 7);
         assert!(positions.is_empty());
     }
 }

@@ -37,11 +37,13 @@
 //! ## Queries
 //!
 //! [`LiveIndex::query_owned_into`] implements the workspace-wide
-//! `query_into(pattern, scratch, sink) → QueryStats` contract by fanning
-//! out over the segments (plus the memtable scan) through the PR-2
-//! [`QueryBatch`] executor, filtering each part's output to its home range
-//! (the shared dedup rule), concatenating — which is already globally
-//! sorted — filtering tombstoned windows, and streaming into the sink.
+//! `query_into(pattern, scratch, sink) → QueryStats` contract by visiting
+//! the segments, then the memtable scan, one after the other on the
+//! calling thread with the caller's [`QueryScratch`]. Each part's output
+//! is filtered to its home range (the shared dedup rule) and appended to
+//! one per-query buffer, which is therefore already globally sorted; then
+//! tombstoned windows are filtered out and the rest streams into the sink.
+//! A warm scratch makes the whole query allocation-free.
 //! Queries run against an [`Arc`] snapshot of the state: appends, flushes
 //! and compactions swap the snapshot and never block or corrupt an
 //! in-flight query (the PR-4 hot-reload discipline).
@@ -92,10 +94,10 @@ pub use wal::FsyncPolicy;
 use crate::wal::{Wal, WalRecord};
 use ius_exec::{Executor, WorkerPool};
 use ius_faultio::DurableSink;
-use ius_index::overlap::{overlap_len, retain_home_and_globalize};
+use ius_index::overlap::{overlap_len, HomeRangeSink};
 use ius_index::{validate_pattern, AnyIndex, IndexSpec, IndexStats, UncertainIndex};
 use ius_obs::{clock, trace, Counter, Histogram, HistogramSnapshot};
-use ius_query::{finalize_into, MatchSink, QueryBatch, QueryScratch, QueryStats};
+use ius_query::{finalize_into, MatchSink, QueryScratch, QueryStats};
 use ius_weighted::{is_solid, Alphabet, Error, Result, WeightedString};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -115,12 +117,12 @@ pub struct LiveConfig {
     /// flush (and periodically), so queries never see an unbounded number
     /// of small segments.
     pub auto_compact: bool,
-    /// Worker threads of the query fan-out executor **and** of the
-    /// segment-build executor — flushes freeze multiple segments
-    /// concurrently and a compaction round runs multiple tier merges
-    /// concurrently, one worker each (0 = all CPUs). Individual segment
-    /// indexes always build serially inside their worker, so the built
-    /// bytes are identical at every thread count.
+    /// Worker threads of the segment-build executor: flushes freeze
+    /// multiple segments concurrently and a compaction round runs multiple
+    /// tier merges concurrently, one worker each (0 = all CPUs). Individual
+    /// segment indexes always build serially inside their worker, so the
+    /// built bytes are identical at every thread count. Queries do not use
+    /// it: each runs on its caller's thread.
     pub threads: usize,
 }
 
@@ -273,17 +275,6 @@ impl Memtable {
         self.start += rows;
     }
 
-    /// One borrowed slice per row, in order — the random-access view the
-    /// naive scan iterates.
-    pub(crate) fn row_slices(&self, sigma: usize) -> Vec<&[f64]> {
-        let mut rows = Vec::with_capacity(self.rows);
-        for slab in &self.slabs {
-            rows.extend(slab.chunks_exact(sigma));
-        }
-        debug_assert_eq!(rows.len(), self.rows);
-        rows
-    }
-
     /// Heap bytes held by the slabs and the pointer list.
     pub(crate) fn capacity_bytes(&self) -> usize {
         self.slabs
@@ -423,9 +414,8 @@ struct Inner {
     /// id-checked instead, so a long merge build never stalls appends.
     write_lock: Mutex<()>,
     next_segment_id: AtomicU64,
-    executor: QueryBatch,
-    /// Fan-out for segment builds (flush freezes, compaction merges);
-    /// shares the configured thread count with the query executor.
+    /// Fan-out for segment builds (flush freezes, compaction merges),
+    /// `config.threads` wide.
     build_executor: Executor,
     appended: AtomicU64,
     flushes: AtomicU64,
@@ -513,11 +503,6 @@ impl LiveIndex {
                 config.compact_fanout
             )));
         }
-        let executor = if config.threads == 0 {
-            QueryBatch::new()
-        } else {
-            QueryBatch::with_threads(config.threads)
-        };
         let build_executor = Executor::with_threads(config.threads);
         let auto_compact = config.auto_compact;
         let inner = Arc::new(Inner {
@@ -533,7 +518,6 @@ impl LiveIndex {
             })),
             write_lock: Mutex::new(()),
             next_segment_id: AtomicU64::new(0),
-            executor,
             build_executor,
             appended: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
@@ -1112,11 +1096,12 @@ impl LiveIndex {
     // Queries
     // -----------------------------------------------------------------
 
-    /// The sink-based query over the owned corpus: fans out over the
-    /// segments and the memtable scan, merges the (already globally
-    /// sorted) home-filtered outputs, drops tombstoned windows and streams
-    /// into `sink`. Runs against an immutable snapshot — concurrent
-    /// appends, flushes and compactions never affect an in-flight query.
+    /// The sink-based query over the owned corpus: runs the segments and
+    /// the memtable scan in turn on the calling thread, appends their
+    /// home-filtered outputs (already globally sorted) into one buffer,
+    /// drops tombstoned windows and streams into `sink`. Runs against an
+    /// immutable snapshot — concurrent appends, flushes and compactions
+    /// never affect an in-flight query.
     ///
     /// # Errors
     ///
@@ -1146,69 +1131,39 @@ impl LiveIndex {
         }
         let state = self.snapshot();
         let z = self.inner.spec.params.z;
-        let jobs = state.segments.len() + 1;
-        let per_part = self
-            .inner
-            .executor
-            .run::<(Vec<usize>, QueryStats), Error, _>(jobs, |i, worker_scratch| {
-                if let Some(segment) = state.segments.get(i) {
-                    let mut local = Vec::new();
-                    let stats = segment.index.query_into(
-                        pattern,
-                        &segment.x,
-                        worker_scratch,
-                        &mut local,
-                    )?;
-                    retain_home_and_globalize(&mut local, segment.home_len, segment.offset);
-                    Ok((local, stats))
-                } else {
-                    Ok(scan_memtable(&state.memtable, sigma, pattern, z))
-                }
-            });
-        let mut total = QueryStats::default();
-        scratch.positions.clear();
-        // The fan-out parts ran on executor threads, but their stats come
-        // back to this (request) thread: record them as duration-only
-        // children of the caller's query span, one group per part with the
-        // sampled stage breakdown nested inside.
+        // Every segment queries its own chunk on this thread's scratch;
+        // its home-range hits, then the memtable's, land in `merged` as
+        // global positions. The stats are recorded as duration-only
+        // children of the caller's query span, one group per part with
+        // the sampled stage breakdown nested inside.
         let traced = trace::active();
-        for (i, entry) in per_part.into_iter().enumerate() {
-            let (positions, stats) = entry?;
+        scratch.run_composite(|scratch, merged| {
+            let mut total = QueryStats::default();
+            for (i, segment) in state.segments.iter().enumerate() {
+                let mut home = HomeRangeSink::new(merged, segment.home_len, segment.offset);
+                let stats = segment
+                    .index
+                    .query_into(pattern, &segment.x, scratch, &mut home)?;
+                total.accumulate(&stats);
+                if traced {
+                    stats.trace_part(trace::STAGE_PART, i);
+                }
+            }
+            let timed = scratch.stage_ticket();
+            let stats = scan_memtable(&state.memtable, sigma, pattern, z, timed, merged);
             total.accumulate(&stats);
             if traced {
-                let code = if i < state.segments.len() {
-                    trace::STAGE_PART
-                } else {
-                    trace::STAGE_MEMTABLE
-                };
-                trace::group(code, stats.staged_ns(), i as u64, stats.reported as u64);
-                if stats.timed {
-                    trace::leaf(trace::STAGE_SCAN, stats.scan_ns, 0, 0);
-                    trace::leaf(trace::STAGE_LOCATE, stats.locate_ns, 0, 0);
-                    trace::leaf(
-                        trace::STAGE_VERIFY,
-                        stats.verify_ns,
-                        stats.candidates as u64,
-                        0,
-                    );
-                    trace::leaf(trace::STAGE_REPORT, stats.report_ns, 0, 0);
-                }
-                trace::end_group();
+                stats.trace_part(trace::STAGE_MEMTABLE, state.segments.len());
+                trace::enter(trace::STAGE_TOMBSTONE_FILTER);
             }
-            // Home ranges are disjoint and increasing and each part's
-            // output is sorted: the concatenation is globally sorted.
-            scratch.positions.extend(positions);
-        }
-        if traced {
-            trace::enter(trace::STAGE_TOMBSTONE_FILTER);
-        }
-        let before = scratch.positions.len();
-        filter_tombstoned_windows(&mut scratch.positions, &state.tombstones, pattern.len());
-        if traced {
-            trace::exit_with(before as u64, scratch.positions.len() as u64);
-        }
-        total.reported = finalize_into(&mut scratch.positions, true, sink);
-        Ok(total)
+            let before = merged.len();
+            filter_tombstoned_windows(merged, &state.tombstones, pattern.len());
+            if traced {
+                trace::exit_with(before as u64, merged.len() as u64);
+            }
+            total.reported = finalize_into(merged, true, sink);
+            Ok(total)
+        })
     }
 
     /// Collects all occurrence positions — the allocating convenience
@@ -1300,39 +1255,79 @@ impl UncertainIndex for LiveIndex {
 
 /// The naive scan over the memtable tail: enumerates every start whose
 /// window fits in `[0, rows)`, multiplies the per-position probabilities
-/// of the pattern's ranks and keeps the z-solid ones. Output positions are
-/// global (the memtable's data start *is* its home start, so no filter is
-/// needed).
+/// of the pattern's ranks and keeps the z-solid ones, appending them to
+/// `out`. Output positions are global (the memtable's data start *is* its
+/// home start, so no filter is needed).
+///
+/// The scan walks the slabs in place, slab by slab. A window inside one
+/// slab indexes that slab directly; only the few windows that run past a
+/// slab's end take the slower chained row iterator into the following
+/// slabs (about twice the cost per window, so it is kept off the common
+/// path).
+///
+/// A `timed` scan (the query's stage ticket, shared with the segment
+/// engines) reports its whole duration as `verify_ns`, since every start
+/// is a candidate checked by its probability product.
 fn scan_memtable(
     memtable: &Memtable,
     sigma: usize,
     pattern: &[u8],
     z: f64,
-) -> (Vec<usize>, QueryStats) {
-    let mut positions = Vec::new();
-    let mut stats = QueryStats::default();
+    timed: bool,
+    out: &mut Vec<usize>,
+) -> QueryStats {
+    let t_verify = if timed { clock::now_ns() } else { 0 };
+    let mut stats = QueryStats {
+        timed,
+        ..QueryStats::default()
+    };
     let m = pattern.len();
-    if memtable.rows < m {
-        return (positions, stats);
-    }
-    // One slice per row: a window's rows may span slab boundaries, and
-    // this flattens the lookup back to plain indexing.
-    let rows = memtable.row_slices(sigma);
-    for start in 0..=rows.len() - m {
-        stats.candidates += 1;
-        let mut p = 1.0f64;
-        for (offset, &rank) in pattern.iter().enumerate() {
-            p *= rows[start + offset][rank as usize];
-            if p == 0.0 {
-                break;
+    let mut windows = (memtable.rows + 1).saturating_sub(m);
+    let mut start = memtable.start;
+    for (k, slab) in memtable.slabs.iter().enumerate() {
+        if windows == 0 {
+            break;
+        }
+        let slab: &[f64] = slab;
+        let slab_rows = slab.len() / sigma;
+        let starts = slab_rows.min(windows);
+        for row in 0..starts {
+            let mut p = 1.0f64;
+            if row + m <= slab_rows {
+                let mut at = row * sigma;
+                for &rank in pattern {
+                    p *= slab[at + rank as usize];
+                    if p == 0.0 {
+                        break;
+                    }
+                    at += sigma;
+                }
+            } else {
+                let rows = slab[row * sigma..].chunks_exact(sigma).chain(
+                    memtable.slabs[k + 1..]
+                        .iter()
+                        .flat_map(|next| next.chunks_exact(sigma)),
+                );
+                for (probs, &rank) in rows.zip(pattern) {
+                    p *= probs[rank as usize];
+                    if p == 0.0 {
+                        break;
+                    }
+                }
+            }
+            if is_solid(p, z) {
+                stats.verified += 1;
+                out.push(start + row);
             }
         }
-        if is_solid(p, z) {
-            stats.verified += 1;
-            positions.push(memtable.start + start);
-        }
+        stats.candidates += starts;
+        windows -= starts;
+        start += slab_rows;
     }
-    (positions, stats)
+    if timed {
+        stats.verify_ns = clock::now_ns().saturating_sub(t_verify);
+    }
+    stats
 }
 
 /// Inserts `[start, end)` into a sorted, disjoint tombstone set,

@@ -303,6 +303,61 @@ fn query_stats_are_aggregated_across_parts() {
 }
 
 #[test]
+fn stage_sampling_draws_one_ticket_per_query_for_all_parts() {
+    // A live query draws one stage ticket for all of its parts (each
+    // segment engine and the memtable scan), so over N queries a fresh
+    // thread times every part of ⌈N / STAGE_SAMPLE_EVERY⌉ queries and no
+    // part of the others — not every part of every query.
+    let x = uniform(600, 29);
+    let spec = mwsa_spec(6.0, 4, x.sigma());
+    let live = LiveIndex::from_corpus(&x, spec, 12, config(120)).unwrap();
+    let parts = live.num_segments() + 1;
+    assert!(parts >= 3, "{parts} parts");
+    clock::warm_up();
+    assert!(clock::enabled(), "timing must be on for this test");
+    let queries = 40usize;
+    let per_query = std::thread::spawn(move || {
+        let mut scratch = QueryScratch::new();
+        (0..queries)
+            .map(|_| {
+                assert!(trace::begin(trace::next_trace_id()));
+                let mut sink = ius_query::CountSink::new();
+                let stats = live
+                    .query_owned_into(&[0u8; 5], &mut scratch, &mut sink)
+                    .unwrap();
+                trace::finish(|buf| {
+                    assert!(!buf.truncated());
+                    let spans = buf.spans();
+                    let groups: Vec<u16> = spans
+                        .iter()
+                        .filter(|s| s.depth == 0)
+                        .map(|s| s.code)
+                        .collect();
+                    assert_eq!(groups.len(), parts + 1, "parts + tombstone filter");
+                    assert_eq!(groups[parts - 1], trace::STAGE_MEMTABLE);
+                    // A timed part nests its stage leaves, one `verify`
+                    // each.
+                    let timed = spans
+                        .iter()
+                        .filter(|s| s.code == trace::STAGE_VERIFY)
+                        .count();
+                    assert_eq!(stats.timed, timed > 0);
+                    timed
+                })
+                .unwrap()
+            })
+            .collect::<Vec<usize>>()
+    })
+    .join()
+    .unwrap();
+    let every = clock::STAGE_SAMPLE_EVERY as usize;
+    let expected: Vec<usize> = (0..queries)
+        .map(|q| if q.is_multiple_of(every) { parts } else { 0 })
+        .collect();
+    assert_eq!(per_query, expected);
+}
+
+#[test]
 fn manifest_round_trip_preserves_everything() {
     let x = PangenomeConfig {
         n: 800,
@@ -369,6 +424,21 @@ fn uniform_like_tail(x: &WeightedString, rows: usize) -> WeightedString {
     x.substring(0, rows.min(x.len())).unwrap()
 }
 
+/// Memtable scan hits of a few binary patterns up to 9 letters long, the
+/// longest spanning several slab boundaries of a 600-row memtable.
+fn scan_all(mt: &Memtable, sigma: usize) -> Vec<Vec<usize>> {
+    [vec![0u8; 3], vec![1, 0, 1], vec![1, 1, 1, 1, 0, 1, 1, 1, 1]]
+        .iter()
+        .map(|pattern| {
+            let mut out = Vec::new();
+            let stats = scan_memtable(mt, sigma, pattern, 32.0, false, &mut out);
+            assert_eq!(stats.candidates, mt.rows + 1 - pattern.len());
+            assert_eq!(stats.verified, out.len());
+            out
+        })
+        .collect()
+}
+
 #[test]
 fn memtable_slabs_coalesce_split_and_drain_at_row_boundaries() {
     let sigma = 2usize;
@@ -384,10 +454,12 @@ fn memtable_slabs_coalesce_split_and_drain_at_row_boundaries() {
     }
     assert_eq!(mt.rows, 600);
     assert_eq!(mt.flat_rows(0, 600, sigma), mirror);
-    // Row views flatten the slab structure back to plain indexing.
-    let rows = mt.row_slices(sigma);
-    assert_eq!(rows.len(), 600);
-    assert_eq!(rows[599], &mirror[599 * sigma..]);
+    // The scan walks the slabs in place; windows that straddle slab
+    // boundaries must see the same rows as over one contiguous slab.
+    let flat = Memtable::from_flat(5, 600, mirror.clone());
+    let hits = scan_all(&mt, sigma);
+    assert!(hits.iter().all(|h| !h.is_empty()), "every pattern hits");
+    assert_eq!(hits, scan_all(&flat, sigma));
     // Copies and drains may land mid-slab; both stay row-aligned.
     assert_eq!(
         mt.flat_rows(100, 350, sigma),
@@ -400,6 +472,8 @@ fn memtable_slabs_coalesce_split_and_drain_at_row_boundaries() {
     assert_eq!(mt.start, 5 + 123);
     assert_eq!(mt.rows, 477);
     assert_eq!(mt.flat_rows(0, 477, sigma), mirror[123 * sigma..]);
+    let drained = Memtable::from_flat(5 + 123, 477, mirror[123 * sigma..].to_vec());
+    assert_eq!(scan_all(&mt, sigma), scan_all(&drained, sigma));
     assert_eq!(snapshot.flat_rows(0, 600, sigma), mirror, "snapshot intact");
     assert!(mt.capacity_bytes() > 0);
 }

@@ -6,6 +6,14 @@
 //! wrapper that tracks live and peak heap bytes, plus a [`measure`] helper
 //! that runs a closure and reports the peak heap growth it caused.
 //!
+//! Two scopes of measurement exist:
+//!
+//! * [`measure`] counts every thread of the process. Construction benches
+//!   need it, because parallel builds allocate on their worker threads.
+//! * [`measure_thread`] counts only the calling thread. Allocation-free
+//!   hot-path assertions need it: a test harness runs sibling tests
+//!   concurrently, and their allocations must not land in the window.
+//!
 //! Usage (typically in a benchmark binary):
 //!
 //! ```
@@ -22,6 +30,7 @@
 #![warn(missing_docs)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -36,6 +45,26 @@ static INSTALLED: AtomicBool = AtomicBool::new(false);
 
 /// Serialises [`measure`] calls so concurrent measurements do not interleave.
 static MEASURE_LOCK: Mutex<()> = Mutex::new(());
+
+/// The calling thread's share of the counters: allocation calls, net live
+/// bytes (allocations minus the deallocations this thread made, so it can
+/// go below zero when the thread frees memory another thread allocated)
+/// and the peak of the latter since the last [`measure_thread`] start.
+#[derive(Clone, Copy)]
+struct ThreadCounts {
+    calls: usize,
+    live: isize,
+    peak: isize,
+}
+
+thread_local! {
+    // `const`-initialized and free of drop glue: reading it never
+    // allocates and never registers a destructor, so the allocator itself
+    // may touch it, even while the thread is being torn down.
+    static THREAD: Cell<ThreadCounts> = const {
+        Cell::new(ThreadCounts { calls: 0, live: 0, peak: 0 })
+    };
+}
 
 /// A `#[global_allocator]`-compatible allocator that counts live and peak
 /// heap usage while delegating to the system allocator.
@@ -95,11 +124,38 @@ fn track_alloc(size: usize) {
     ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
     let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
     PEAK.fetch_max(live, Ordering::Relaxed);
+    track_thread_alloc(size);
 }
 
 #[inline]
 fn track_dealloc(size: usize) {
     LIVE.fetch_sub(size, Ordering::Relaxed);
+    track_thread_dealloc(size);
+}
+
+#[inline]
+fn track_thread_alloc(size: usize) {
+    update_thread(|t| {
+        t.calls += 1;
+        t.live = t.live.wrapping_add(size as isize);
+        t.peak = t.peak.max(t.live);
+    });
+}
+
+#[inline]
+fn track_thread_dealloc(size: usize) {
+    update_thread(|t| t.live = t.live.wrapping_sub(size as isize));
+}
+
+#[inline]
+fn update_thread(f: impl FnOnce(&mut ThreadCounts)) {
+    // `try_with` cannot fail for a const thread-local without drop glue;
+    // ignoring the error keeps the allocator panic-free regardless.
+    let _ = THREAD.try_with(|cell| {
+        let mut counts = cell.get();
+        f(&mut counts);
+        cell.set(counts);
+    });
 }
 
 /// A snapshot of heap statistics produced by [`measure`].
@@ -169,6 +225,32 @@ pub fn measure<T, F: FnOnce() -> T>(f: F) -> (T, MemoryStats) {
     (value, stats)
 }
 
+/// Runs `f`, measuring the heap traffic of the **calling thread only**:
+/// peak growth of this thread's net live bytes above the level at entry,
+/// the net growth left at exit, and the allocation calls this thread made.
+///
+/// Allocations made by other threads never land in the window, so this is
+/// the measurement for single-threaded hot-path assertions in a test
+/// binary whose sibling tests run concurrently. Work `f` hands to other
+/// threads is not counted; use [`measure`] for that. Nested calls restart
+/// the peak, so keep measured regions flat.
+pub fn measure_thread<T, F: FnOnce() -> T>(f: F) -> (T, MemoryStats) {
+    let start = THREAD.with(|cell| {
+        let mut counts = cell.get();
+        counts.peak = counts.live;
+        cell.set(counts);
+        counts
+    });
+    let value = f();
+    let end = THREAD.with(Cell::get);
+    let stats = MemoryStats {
+        peak_bytes: end.peak.saturating_sub(start.live).max(0) as usize,
+        retained_bytes: end.live.saturating_sub(start.live).max(0) as usize,
+        alloc_calls: end.calls - start.calls,
+    };
+    (value, stats)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,6 +299,31 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), 10_000);
         }
+    }
+
+    #[test]
+    fn thread_counts_ignore_other_threads() {
+        // The per-thread bookkeeping is exercised directly (the allocator
+        // is not installed here, and the process-wide counters belong to
+        // `tracking_math`): another thread's traffic must not show up in
+        // this thread's window, while this thread's own traffic must.
+        let ((), stats) = measure_thread(|| {
+            std::thread::spawn(|| track_thread_alloc(1 << 20))
+                .join()
+                .unwrap();
+        });
+        assert_eq!(stats, MemoryStats::default());
+        let ((), stats) = measure_thread(|| {
+            track_thread_alloc(300);
+            track_thread_alloc(200);
+            track_thread_dealloc(300);
+        });
+        assert_eq!(stats.peak_bytes, 500);
+        assert_eq!(stats.retained_bytes, 200);
+        assert_eq!(stats.alloc_calls, 2);
+        // Freeing more than the window allocated never underflows.
+        let ((), stats) = measure_thread(|| track_thread_dealloc(200));
+        assert_eq!(stats, MemoryStats::default());
     }
 
     #[test]

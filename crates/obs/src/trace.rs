@@ -28,14 +28,14 @@
 //!   relative to the trace's begin time plus a duration. Duration-only
 //!   spans ([`leaf`], [`group`]) carry timings measured elsewhere (queue
 //!   wait measured before the trace armed, per-part stage nanoseconds
-//!   summed on executor threads); their `start_ns` is 0 because the
-//!   recording thread never observed when they ran.
+//!   taken from a part's `QueryStats`); their `start_ns` is 0 because
+//!   only the stage sums, not the start times, are recorded.
 //!
-//! A request is served entirely on one worker thread, so the thread-local
-//! buffer needs no synchronization and no signature changes in the layers
-//! it threads through. Fan-out parts run on executor threads, but their
-//! `QueryStats` return to the request thread, which records them as
-//! duration-only children ([`group`] + [`leaf`]) after the join.
+//! A request is served entirely on one worker thread, fan-out parts
+//! included, so the thread-local buffer needs no synchronization and no
+//! signature changes in the layers it threads through. A composite records
+//! each part from its `QueryStats` as a duration-only child ([`group`] +
+//! [`leaf`]) once the part has run.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -279,7 +279,7 @@ impl SpanBuffer {
 
     /// Records a completed duration-only span and nests subsequent spans
     /// under it until the matching [`SpanBuffer::end_group`]. Used for
-    /// fan-out parts whose timings were measured on executor threads.
+    /// fan-out parts, whose timings arrive as stage sums after they ran.
     #[inline]
     pub fn group(&mut self, code: u16, dur_ns: u64, a: u64, b: u64) {
         if !self.active {

@@ -14,7 +14,8 @@
 //!   buffers have warmed up;
 //! * [`QueryStats`] — the per-query instrumentation every index family
 //!   reports (candidates enumerated, candidates verified, survivors
-//!   delivered, grid nodes touched);
+//!   delivered, grid nodes touched), and the one place that turns its
+//!   sampled stage timings into request-trace spans;
 //! * [`finalize_into`] — the shared sort/dedup/stream step between a raw
 //!   candidate buffer and a sink, with a `sorted` fast path for sources that
 //!   already emit increasing positions;
@@ -31,6 +32,7 @@
 #![warn(missing_docs)]
 
 use ius_exec::Executor;
+use ius_obs::{clock, trace};
 
 /// A consumer of verified occurrence positions.
 ///
@@ -114,10 +116,18 @@ impl MatchSink for FirstKSink {
 /// on the hot paths (asserted by `tests/query_alloc.rs` at the workspace
 /// root). One scratch serves one thread; [`QueryBatch`] creates one per
 /// worker.
+///
+/// Composite indexes (shards, live segments) run every part on the
+/// caller's scratch in turn, inside [`QueryScratch::run_composite`]. Each
+/// part's engine uses the buffers above for its own query, so the parts'
+/// merged output gets a buffer of its own, which that method lends out.
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
     /// Raw candidate/verified positions before [`finalize_into`].
     pub positions: Vec<usize>,
+    /// A composite query's concatenated per-part output, in global
+    /// coordinates (lent out by [`QueryScratch::run_composite`]).
+    merged: Vec<usize>,
     /// Reversed-prefix staging (the backward pattern part of the minimizer
     /// indexes).
     pub pattern_rev: Vec<u8>,
@@ -125,6 +135,9 @@ pub struct QueryScratch {
     pub grid: Vec<u32>,
     /// k-mer keys of the pattern's first window (minimizer selection).
     pub kmer_keys: Vec<u64>,
+    /// The stage ticket a running composite query drew for all of its
+    /// parts (`None` outside [`QueryScratch::run_composite`]).
+    composite_ticket: Option<bool>,
 }
 
 impl QueryScratch {
@@ -133,9 +146,42 @@ impl QueryScratch {
         Self::default()
     }
 
+    /// Runs the parts of one composite query: `f` gets the scratch, for
+    /// the parts' engines, and the composite's merge buffer, cleared, for
+    /// the parts to append into. The buffer goes back into
+    /// the scratch afterwards (also when `f` returns an error), so its
+    /// capacity carries over to the next query.
+    ///
+    /// The query draws **one** stage ticket ([`ius_obs::clock::stage_ticket`])
+    /// up front, and every [`QueryScratch::stage_ticket`] inside `f`
+    /// returns it. So a timed composite query times all of its parts and
+    /// an untimed one none, and its summed stage fields cover the whole
+    /// query, like a single index's.
+    ///
+    /// Composites do not nest: a `run_composite` inside `f` would find the
+    /// buffer empty and grow a fresh one.
+    pub fn run_composite<R>(&mut self, f: impl FnOnce(&mut Self, &mut Vec<usize>) -> R) -> R {
+        let mut merged = std::mem::take(&mut self.merged);
+        merged.clear();
+        self.composite_ticket = Some(clock::stage_ticket());
+        let result = f(self, &mut merged);
+        self.composite_ticket = None;
+        self.merged = merged;
+        result
+    }
+
+    /// The stage ticket of the query about to run on this scratch: the
+    /// one its composite drew inside [`QueryScratch::run_composite`], a
+    /// fresh [`ius_obs::clock::stage_ticket`] otherwise. Engines that time
+    /// their stages draw through this.
+    #[inline]
+    pub fn stage_ticket(&self) -> bool {
+        self.composite_ticket.unwrap_or_else(clock::stage_ticket)
+    }
+
     /// Total capacity currently held by the buffers, in bytes.
     pub fn capacity_bytes(&self) -> usize {
-        self.positions.capacity() * std::mem::size_of::<usize>()
+        (self.positions.capacity() + self.merged.capacity()) * std::mem::size_of::<usize>()
             + self.pattern_rev.capacity()
             + self.grid.capacity() * 4
             + self.kmer_keys.capacity() * 8
@@ -167,14 +213,13 @@ pub struct QueryStats {
     /// Nanoseconds spent finalizing (sort/dedup/stream into the sink).
     pub report_ns: u64,
     /// Whether this query drew a stage-tracing ticket
-    /// ([`ius_obs::clock::stage_ticket`]) and the `*_ns` stage fields were
+    /// ([`QueryScratch::stage_ticket`]) and the `*_ns` stage fields were
     /// actually stamped. Stage tracing is sampled (1 in
     /// [`ius_obs::clock::STAGE_SAMPLE_EVERY`] per thread) because five
     /// clock reads per query are too expensive for the serve hot path;
     /// consumers must skip the stage fields of untimed queries instead of
-    /// recording zeros. For a composite (shard/segment fan-out) the flag
-    /// is true if *any* part was timed, and the stage sums cover exactly
-    /// the timed parts.
+    /// recording zeros. A composite (shard/segment fan-out) draws one
+    /// ticket for all of its parts, so its stage sums cover every part.
     pub timed: bool,
 }
 
@@ -209,6 +254,35 @@ impl QueryStats {
     /// Total nanoseconds attributed to the per-stage timers.
     pub fn staged_ns(&self) -> u64 {
         self.scan_ns + self.locate_ns + self.verify_ns + self.report_ns
+    }
+
+    /// Records the sampled stage breakdown into this thread's request
+    /// trace: one duration-only leaf per stage (`scan`, `locate`,
+    /// `verify` carrying the candidate count, `report`) when the query
+    /// was [`timed`](QueryStats::timed), nothing otherwise. A no-op
+    /// without an armed trace.
+    pub fn trace_stages(&self) {
+        if self.timed {
+            trace::leaf(trace::STAGE_SCAN, self.scan_ns, 0, 0);
+            trace::leaf(trace::STAGE_LOCATE, self.locate_ns, 0, 0);
+            trace::leaf(
+                trace::STAGE_VERIFY,
+                self.verify_ns,
+                self.candidates as u64,
+                0,
+            );
+            trace::leaf(trace::STAGE_REPORT, self.report_ns, 0, 0);
+        }
+    }
+
+    /// Records one part of a composite fan-out: a duration-only `code`
+    /// group (`a` = `part`, `b` = the part's reported count) holding the
+    /// part's [stage leaves](QueryStats::trace_stages). A no-op without
+    /// an armed trace.
+    pub fn trace_part(&self, code: u16, part: usize) {
+        trace::group(code, self.staged_ns(), part as u64, self.reported as u64);
+        self.trace_stages();
+        trace::end_group();
     }
 }
 
@@ -468,7 +542,87 @@ mod tests {
         let mut scratch = QueryScratch::new();
         assert_eq!(scratch.capacity_bytes(), 0);
         scratch.positions.reserve(10);
+        scratch.merged.reserve(6);
         scratch.kmer_keys.reserve(4);
-        assert!(scratch.capacity_bytes() >= 10 * std::mem::size_of::<usize>() + 32);
+        assert!(scratch.capacity_bytes() >= 16 * std::mem::size_of::<usize>() + 32);
+    }
+
+    #[test]
+    fn merged_buffer_is_lent_cleared_and_returned_with_its_capacity() {
+        let mut scratch = QueryScratch::new();
+        scratch.merged.extend([7, 8, 9]);
+        let result: Result<usize, ()> = scratch.run_composite(|scratch, merged| {
+            assert!(merged.is_empty(), "lent out cleared");
+            assert!(scratch.merged.is_empty(), "not reachable twice");
+            merged.extend(0..100);
+            scratch.positions.push(1);
+            Err(())
+        });
+        assert!(result.is_err());
+        assert_eq!(scratch.merged.len(), 100, "restored on the error path");
+        let capacity = scratch.merged.capacity();
+        scratch.run_composite(|_, merged| merged.extend(0..100));
+        assert_eq!(scratch.merged.capacity(), capacity, "no regrowth");
+        assert_eq!(scratch.positions, vec![1]);
+    }
+
+    #[test]
+    fn a_composite_draws_one_stage_ticket_for_all_of_its_parts() {
+        std::thread::spawn(|| {
+            let mut scratch = QueryScratch::new();
+            let every = clock::STAGE_SAMPLE_EVERY as usize;
+            for query in 0..2 * every + 1 {
+                let parts: Vec<bool> = scratch
+                    .run_composite(|scratch, _| (0..5).map(|_| scratch.stage_ticket()).collect());
+                let timed = query % every == 0;
+                assert_eq!(parts, vec![timed; 5], "query {query}");
+            }
+            // Outside a composite every call draws its own ticket.
+            assert!(!scratch.stage_ticket());
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn stage_leaves_follow_the_timed_flag() {
+        let stats = QueryStats {
+            candidates: 9,
+            reported: 2,
+            scan_ns: 1,
+            locate_ns: 2,
+            verify_ns: 3,
+            report_ns: 4,
+            timed: true,
+            ..QueryStats::default()
+        };
+        assert!(trace::begin(trace::next_trace_id()));
+        stats.trace_part(trace::STAGE_PART, 5);
+        QueryStats {
+            timed: false,
+            ..stats
+        }
+        .trace_part(trace::STAGE_MEMTABLE, 6);
+        stats.trace_stages();
+        let spans = trace::finish(|buf| buf.spans().to_vec()).unwrap();
+        let shape: Vec<(u16, u8, u64, u64, u64)> = spans
+            .iter()
+            .map(|s| (s.code, s.depth, s.dur_ns, s.a, s.b))
+            .collect();
+        assert_eq!(
+            shape,
+            vec![
+                (trace::STAGE_PART, 0, 10, 5, 2),
+                (trace::STAGE_SCAN, 1, 1, 0, 0),
+                (trace::STAGE_LOCATE, 1, 2, 0, 0),
+                (trace::STAGE_VERIFY, 1, 3, 9, 0),
+                (trace::STAGE_REPORT, 1, 4, 0, 0),
+                (trace::STAGE_MEMTABLE, 0, 10, 6, 2),
+                (trace::STAGE_SCAN, 0, 1, 0, 0),
+                (trace::STAGE_LOCATE, 0, 2, 0, 0),
+                (trace::STAGE_VERIFY, 0, 3, 9, 0),
+                (trace::STAGE_REPORT, 0, 4, 0, 0),
+            ]
+        );
     }
 }

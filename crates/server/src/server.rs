@@ -198,16 +198,8 @@ impl ServedIndex {
         if traced {
             match &result {
                 Ok(stats) => {
-                    if matches!(self, ServedIndex::Single { .. }) && stats.timed {
-                        trace::leaf(trace::STAGE_SCAN, stats.scan_ns, 0, 0);
-                        trace::leaf(trace::STAGE_LOCATE, stats.locate_ns, 0, 0);
-                        trace::leaf(
-                            trace::STAGE_VERIFY,
-                            stats.verify_ns,
-                            stats.candidates as u64,
-                            0,
-                        );
-                        trace::leaf(trace::STAGE_REPORT, stats.report_ns, 0, 0);
+                    if matches!(self, ServedIndex::Single { .. }) {
+                        stats.trace_stages();
                     }
                     trace::exit_with(stats.candidates as u64, stats.reported as u64);
                 }

@@ -1,10 +1,14 @@
 //! Asserts the acceptance criterion of the query-engine overhaul: once a
 //! [`QueryScratch`]'s buffers have warmed up, `query_into` performs **no
 //! heap allocation** on the minimizer-index hot paths (simple and grid
-//! queries, count-only sink).
+//! queries, count-only sink), and neither do the composite fan-outs over
+//! shards and live segments.
 //!
 //! This integration test is its own binary, so installing the counting
-//! allocator here affects nothing else in the workspace.
+//! allocator here affects nothing else in the workspace. Every window is
+//! measured with [`ius_memtrack::measure_thread`], which counts only the
+//! measuring thread: the sibling tests of this binary run concurrently and
+//! build indexes while a window is open.
 
 use ius::prelude::*;
 use ius_memtrack::CountingAllocator;
@@ -49,7 +53,7 @@ fn assert_steady_state_allocation_free(variant: IndexVariant, label: &str) {
     }
 
     // Steady-state pass: must not touch the allocator at all.
-    let (steady_count, mem) = ius_memtrack::measure(|| {
+    let (steady_count, mem) = ius_memtrack::measure_thread(|| {
         let mut sink = CountSink::new();
         for pattern in &patterns {
             index
@@ -123,7 +127,7 @@ fn instrumented_query_recording_is_allocation_free_after_warmup() {
     // Stage recording mirrors the server: only queries that drew a
     // stage-tracing ticket (1 in `clock::STAGE_SAMPLE_EVERY`) carry
     // stamped stage fields and reach the stage histograms.
-    let ((recorded, timed), mem) = ius_memtrack::measure(|| {
+    let ((recorded, timed), mem) = ius_memtrack::measure_thread(|| {
         let mut sink = CountSink::new();
         let mut timed = 0u64;
         for pattern in &patterns {
@@ -230,7 +234,7 @@ fn traced_query_path_is_allocation_free_after_warmup() {
     }
 
     // Steady state: the whole traced request loop, zero heap traffic.
-    let (reported, mem) = ius_memtrack::measure(|| {
+    let (reported, mem) = ius_memtrack::measure_thread(|| {
         let mut reported = 0u64;
         for (i, pattern) in patterns.iter().enumerate() {
             reported += run_one(pattern, i % 2 == 0, &mut scratch);
@@ -275,7 +279,7 @@ fn collecting_into_a_warm_reused_vector_is_also_allocation_free() {
     }
     // `out` has warmed to the largest single answer; replaying the workload
     // into it allocates nothing.
-    let (_, mem) = ius_memtrack::measure(|| {
+    let (_, mem) = ius_memtrack::measure_thread(|| {
         for pattern in &patterns {
             out.clear();
             index
@@ -285,4 +289,95 @@ fn collecting_into_a_warm_reused_vector_is_also_allocation_free() {
     });
     assert_eq!(mem.peak_bytes, 0, "reused collect sink allocated");
     assert!(high_water > 0);
+}
+
+/// Warms `query` up on every pattern, then asserts that a second full pass
+/// makes no allocation at all and gives the same answers.
+fn assert_composite_allocation_free(
+    label: &str,
+    patterns: &[Vec<u8>],
+    mut query: impl FnMut(&[u8], &mut QueryScratch, &mut CountSink),
+) {
+    let mut scratch = QueryScratch::new();
+    let mut run = |scratch: &mut QueryScratch, counts: &mut [usize]| {
+        for (pattern, count) in patterns.iter().zip(counts.iter_mut()) {
+            let mut sink = CountSink::new();
+            query(pattern, scratch, &mut sink);
+            *count = sink.count;
+        }
+    };
+    let mut warm = vec![0usize; patterns.len()];
+    run(&mut scratch, &mut warm);
+    let mut steady = vec![0usize; patterns.len()];
+    let ((), mem) = ius_memtrack::measure_thread(|| run(&mut scratch, &mut steady));
+    assert!(ius_memtrack::is_installed());
+    assert_eq!(
+        mem.alloc_calls,
+        0,
+        "{label}: steady-state queries made {} allocation calls ({} bytes at peak) \
+         over {} queries",
+        mem.alloc_calls,
+        mem.peak_bytes,
+        patterns.len()
+    );
+    assert_eq!(mem.peak_bytes, 0, "{label}: steady state touched the heap");
+    assert_eq!(steady, warm, "{label}: queries kept answering");
+    assert!(
+        warm.iter().sum::<usize>() > 0,
+        "{label}: workload found occurrences"
+    );
+}
+
+#[test]
+fn sharded_query_is_allocation_free_after_warmup() {
+    let (x, _est, patterns, params) = workload();
+    let ell = params.ell;
+    let spec = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::ArrayGrid), params);
+    let sharded = ShardedIndex::build(&x, spec, 3, 2 * ell).unwrap();
+    assert!(sharded.num_shards() >= 2);
+    assert_composite_allocation_free("SHARDED-MWSA-G", &patterns, |pattern, scratch, sink| {
+        sharded.query_owned_into(pattern, scratch, sink).unwrap();
+    });
+}
+
+/// The live fan-out at its fullest: several segments, a memtable tail
+/// whose scan finds hits, and a tombstone that masks one of them.
+#[test]
+fn live_query_is_allocation_free_after_warmup() {
+    let (x, _est, patterns, params) = workload();
+    let ell = params.ell;
+    let spec = IndexSpec::new(IndexFamily::Minimizer(IndexVariant::ArrayGrid), params);
+    let config = LiveConfig {
+        flush_threshold: 400,
+        auto_compact: false,
+        ..LiveConfig::default()
+    };
+    let tail = x.len() - 300;
+    let live =
+        LiveIndex::from_corpus(&x.substring(0, tail).unwrap(), spec, 2 * ell, config).unwrap();
+    live.append(&x.substring(tail, x.len()).unwrap()).unwrap();
+    let answers = |live: &LiveIndex| -> Vec<usize> {
+        patterns
+            .iter()
+            .flat_map(|pattern| live.query_owned(pattern).unwrap())
+            .collect()
+    };
+    // Mask one occurrence the memtable scan reports.
+    let before = answers(&live);
+    let &hit = before
+        .iter()
+        .find(|&&p| p >= tail)
+        .expect("the memtable scan found hits");
+    live.delete_range(hit, hit + 1).unwrap();
+    assert!(
+        answers(&live).len() < before.len(),
+        "the tombstone masks hits"
+    );
+    let stats = live.live_stats();
+    assert!(stats.segments >= 2, "{} segments", stats.segments);
+    assert!(stats.memtable_rows >= 300);
+    assert_eq!(stats.tombstones, 1);
+    assert_composite_allocation_free("LIVE-MWSA-G", &patterns, |pattern, scratch, sink| {
+        live.query_owned_into(pattern, scratch, sink).unwrap();
+    });
 }
