@@ -5,6 +5,12 @@ use ius_index::{IndexFamily, IndexParams, IndexSpec, IndexStats, IndexVariant, U
 use ius_weighted::{Result, WeightedString, ZEstimation};
 use std::time::{Duration, Instant};
 
+/// Query sweeps per side when two indexes' query latencies are compared
+/// (sharded vs unsharded, fully merged live vs rebuilt). The host's speed
+/// drifts over minutes, so the two sides are read in alternating sweeps and
+/// each keeps its minimum.
+pub const PAIRED_SWEEPS: usize = 15;
+
 /// The seven index kinds evaluated by the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {

@@ -22,6 +22,7 @@
 //! The rebuilt single index is also timed as the static baseline, so the
 //! cost of dynamism (segment fan-out) can be read directly.
 
+use crate::measure::PAIRED_SWEEPS;
 use ius_datasets::corpora::bench_corpora;
 use ius_datasets::patterns::PatternSampler;
 use ius_index::{
@@ -327,16 +328,12 @@ fn bench_dataset(
     // Phase 1: many segments. Correctness first, timing second.
     assert_identical(&live, &rebuilt, x, &patterns, &expected, "pre-compaction");
     let pre = query_phase(&live, &patterns, config.reps);
-    let rebuilt_best = (0..config.reps.max(1))
-        .map(|_| time_rebuilt_sweep(&rebuilt, x, &patterns))
-        .fold(f64::INFINITY, f64::min);
     eprintln!(
-        "  ingest {:.2} s ({:.0} pos/s, {} segments), queries {:.1} us/pattern (rebuilt {:.1} us)",
+        "  ingest {:.2} s ({:.0} pos/s, {} segments), queries {:.1} us/pattern",
         append_s,
         x.len() as f64 / append_s,
         pre.segments,
         pre.avg_query_us,
-        rebuilt_best * 1e6 / patterns.len() as f64
     );
 
     // Phase 2: tiered compaction under concurrent query load; every
@@ -389,7 +386,15 @@ fn bench_dataset(
     // Phase 3: full merge into one segment (the fully-compacted floor).
     live.compact_full().expect("full merge");
     assert_identical(&live, &rebuilt, x, &patterns, &expected, "full-merge");
-    let full = query_phase(&live, &patterns, config.reps);
+    let (mut full_best, mut rebuilt_best) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..PAIRED_SWEEPS {
+        full_best = full_best.min(time_live_sweep(&live, &patterns));
+        rebuilt_best = rebuilt_best.min(time_rebuilt_sweep(&rebuilt, x, &patterns));
+    }
+    let full = QueryPhase {
+        segments: live.num_segments(),
+        avg_query_us: full_best * 1e6 / patterns.len() as f64,
+    };
 
     // Multi-core sweep: repeat the whole ingest and the tiered rounds
     // with the segment-build executor at each configured width, and
@@ -449,14 +454,15 @@ fn bench_dataset(
     );
     eprintln!(
         "  compaction: {merges} merges in {duration_s:.2} s under {} concurrent queries; \
-         {} -> {} -> {} segments, {:.1} -> {:.1} -> {:.1} us/pattern",
+         {} -> {} -> {} segments, {:.2} -> {:.2} -> {:.2} us/pattern (rebuilt {:.2} us)",
         concurrent.load(Ordering::Relaxed),
         pre.segments,
         post.segments,
         full.segments,
         pre.avg_query_us,
         post.avg_query_us,
-        full.avg_query_us
+        full.avg_query_us,
+        rebuilt_best * 1e6 / patterns.len() as f64
     );
 
     UpdateDatasetBench {
@@ -524,7 +530,7 @@ pub fn render_update_json(config: &UpdateBenchConfig, results: &[UpdateDatasetBe
         config.batch,
         crate::report::json_host_fields(&config.threads)
     ));
-    out.push_str(
+    out.push_str(&format!(
         "  \"note\": \"Each dataset's final corpus is streamed batch-by-batch into a \
          LiveIndex (immutable MWSA-G segments + naive-scanned memtable tail, overlap \
          max_pattern_len-1, tiered compaction fanout 4). Before any timing is trusted the \
@@ -535,11 +541,13 @@ pub fn render_update_json(config: &UpdateBenchConfig, results: &[UpdateDatasetBe
          append_throughput includes every threshold-triggered segment build; visible_p50_us \
          is the median (append + immediate probe query) wall time, appends being \
          synchronously visible. avg_query_us is the best-of-reps sweep average in collect \
-         mode; rebuilt_avg_query_us is the same sweep on the static rebuilt index \
-         (the fan-out cost floor). thread_sweep repeats the whole ingest and the tiered \
-         rounds with the segment-build executor at each width in threads (0 = all CPUs), \
-         asserting the answers identical to the rebuilt index at every point.\",\n",
-    );
+         mode; rebuilt_single_index_avg_query_us is the same sweep on the static rebuilt \
+         index (the fan-out cost floor). The full_merge row and the rebuilt row are each the \
+         best of {PAIRED_SWEEPS} sweeps run in alternation, so they are read under the same \
+         host conditions. thread_sweep repeats the whole ingest and the tiered rounds with \
+         the segment-build executor at each width in threads (0 = all CPUs), asserting the \
+         answers identical to the rebuilt index at every point.\",\n",
+    ));
     out.push_str("  \"datasets\": [\n");
     for (i, d) in results.iter().enumerate() {
         out.push_str("    {\n");
@@ -561,7 +569,7 @@ pub fn render_update_json(config: &UpdateBenchConfig, results: &[UpdateDatasetBe
             d.rebuild_s
         ));
         out.push_str(&format!(
-            "      \"pre_compaction\": {{ \"segments\": {}, \"avg_query_us\": {:.1} }},\n",
+            "      \"pre_compaction\": {{ \"segments\": {}, \"avg_query_us\": {:.2} }},\n",
             d.pre_compaction.segments, d.pre_compaction.avg_query_us
         ));
         out.push_str(&format!(
@@ -570,16 +578,16 @@ pub fn render_update_json(config: &UpdateBenchConfig, results: &[UpdateDatasetBe
             d.compaction.merges, d.compaction.duration_s, d.compaction.concurrent_queries
         ));
         out.push_str(&format!(
-            "      \"post_compaction\": {{ \"segments\": {}, \"avg_query_us\": {:.1}, \
+            "      \"post_compaction\": {{ \"segments\": {}, \"avg_query_us\": {:.2}, \
              \"speedup_vs_pre\": {:.2} }},\n",
             d.post_compaction.segments, d.post_compaction.avg_query_us, d.compaction_speedup
         ));
         out.push_str(&format!(
-            "      \"full_merge\": {{ \"segments\": {}, \"avg_query_us\": {:.1} }},\n",
+            "      \"full_merge\": {{ \"segments\": {}, \"avg_query_us\": {:.2} }},\n",
             d.full_merge.segments, d.full_merge.avg_query_us
         ));
         out.push_str(&format!(
-            "      \"rebuilt_single_index_avg_query_us\": {:.1},\n",
+            "      \"rebuilt_single_index_avg_query_us\": {:.2},\n",
             d.rebuilt_avg_query_us
         ));
         let sweep: Vec<String> = d

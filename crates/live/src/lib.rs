@@ -98,6 +98,7 @@ use ius_index::overlap::{overlap_len, HomeRangeSink};
 use ius_index::{validate_pattern, AnyIndex, IndexSpec, IndexStats, UncertainIndex};
 use ius_obs::{clock, trace, Counter, Histogram, HistogramSnapshot};
 use ius_query::{finalize_into, MatchSink, QueryScratch, QueryStats};
+use ius_weighted::string::DISTRIBUTION_SUM_TOLERANCE;
 use ius_weighted::{is_solid, Alphabet, Error, Result, WeightedString};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1259,11 +1260,17 @@ impl UncertainIndex for LiveIndex {
 /// `out`. Output positions are global (the memtable's data start *is* its
 /// home start, so no filter is needed).
 ///
-/// The scan walks the slabs in place, slab by slab. A window inside one
-/// slab indexes that slab directly; only the few windows that run past a
-/// slab's end take the slower chained row iterator into the following
-/// slabs (about twice the cost per window, so it is kept off the common
-/// path).
+/// The scan walks the slabs in place: a window keeps a (slab, offset)
+/// cursor that steps into the next slab when it reaches a slab's end, so
+/// windows inside one slab and windows across slabs take the same path.
+///
+/// A window stops as soon as its running product falls below `cutoff`.
+/// Validated entries are at most `1 + DISTRIBUTION_SUM_TOLERANCE`, so the
+/// rest of an `m`-row window can raise the product by at most
+/// `(1 + DISTRIBUTION_SUM_TOLERANCE)^m`; `cutoff` leaves a further factor
+/// of 2 for [`ius_weighted::PROB_EPSILON`] and rounding. So a stopped
+/// window is never z-solid, and a window that runs to the end gets the
+/// same product as [`WeightedString::occurrence_probability`].
 ///
 /// A `timed` scan (the query's stage ticket, shared with the segment
 /// engines) reports its whole duration as `verify_ns`, since every start
@@ -1277,52 +1284,43 @@ fn scan_memtable(
     out: &mut Vec<usize>,
 ) -> QueryStats {
     let t_verify = if timed { clock::now_ns() } else { 0 };
+    let m = pattern.len();
+    let windows = (memtable.rows + 1).saturating_sub(m);
+    let slack = 2.0 * (1.0 + DISTRIBUTION_SUM_TOLERANCE).powf(m as f64);
+    let cutoff = 1.0 / (z * slack);
+    let slabs = &memtable.slabs;
     let mut stats = QueryStats {
         timed,
+        candidates: windows,
         ..QueryStats::default()
     };
-    let m = pattern.len();
-    let mut windows = (memtable.rows + 1).saturating_sub(m);
-    let mut start = memtable.start;
-    for (k, slab) in memtable.slabs.iter().enumerate() {
-        if windows == 0 {
-            break;
+    // Cursor of the window start: slab index and value offset in it.
+    let (mut first, mut first_at) = (0usize, 0usize);
+    for window in 0..windows {
+        while first_at == slabs[first].len() {
+            first += 1;
+            first_at = 0;
         }
-        let slab: &[f64] = slab;
-        let slab_rows = slab.len() / sigma;
-        let starts = slab_rows.min(windows);
-        for row in 0..starts {
-            let mut p = 1.0f64;
-            if row + m <= slab_rows {
-                let mut at = row * sigma;
-                for &rank in pattern {
-                    p *= slab[at + rank as usize];
-                    if p == 0.0 {
-                        break;
-                    }
-                    at += sigma;
-                }
-            } else {
-                let rows = slab[row * sigma..].chunks_exact(sigma).chain(
-                    memtable.slabs[k + 1..]
-                        .iter()
-                        .flat_map(|next| next.chunks_exact(sigma)),
-                );
-                for (probs, &rank) in rows.zip(pattern) {
-                    p *= probs[rank as usize];
-                    if p == 0.0 {
-                        break;
-                    }
-                }
+        let (mut k, mut at) = (first, first_at);
+        let mut slab: &[f64] = &slabs[k];
+        let mut p = 1.0f64;
+        for &rank in pattern {
+            while at == slab.len() {
+                k += 1;
+                slab = &slabs[k];
+                at = 0;
             }
-            if is_solid(p, z) {
-                stats.verified += 1;
-                out.push(start + row);
+            p *= slab[at + rank as usize];
+            if p < cutoff {
+                break;
             }
+            at += sigma;
         }
-        stats.candidates += starts;
-        windows -= starts;
-        start += slab_rows;
+        if is_solid(p, z) {
+            stats.verified += 1;
+            out.push(memtable.start + window);
+        }
+        first_at += sigma;
     }
     if timed {
         stats.verify_ns = clock::now_ns().saturating_sub(t_verify);

@@ -424,10 +424,12 @@ fn uniform_like_tail(x: &WeightedString, rows: usize) -> WeightedString {
     x.substring(0, rows.min(x.len())).unwrap()
 }
 
+const SCAN_PATTERNS: [&[u8]; 3] = [&[0; 3], &[1, 0, 1], &[1, 1, 1, 1, 0, 1, 1, 1, 1]];
+
 /// Memtable scan hits of a few binary patterns up to 9 letters long, the
 /// longest spanning several slab boundaries of a 600-row memtable.
 fn scan_all(mt: &Memtable, sigma: usize) -> Vec<Vec<usize>> {
-    [vec![0u8; 3], vec![1, 0, 1], vec![1, 1, 1, 1, 0, 1, 1, 1, 1]]
+    SCAN_PATTERNS
         .iter()
         .map(|pattern| {
             let mut out = Vec::new();
@@ -460,6 +462,19 @@ fn memtable_slabs_coalesce_split_and_drain_at_row_boundaries() {
     let hits = scan_all(&mt, sigma);
     assert!(hits.iter().all(|h| !h.is_empty()), "every pattern hits");
     assert_eq!(hits, scan_all(&flat, sigma));
+    // The scan stops a window early once it cannot be z-solid; the full
+    // products of the contiguous rows must give the same hits.
+    let oracle = WeightedString::from_flat(Alphabet::new(b"AB").unwrap(), mirror.clone()).unwrap();
+    let expected: Vec<Vec<usize>> = SCAN_PATTERNS
+        .iter()
+        .map(|pattern| {
+            (0..=600 - pattern.len())
+                .filter(|&i| is_solid(oracle.occurrence_probability(i, pattern), 32.0))
+                .map(|i| 5 + i)
+                .collect()
+        })
+        .collect();
+    assert_eq!(hits, expected);
     // Copies and drains may land mid-slab; both stay row-aligned.
     assert_eq!(
         mt.flat_rows(100, 350, sigma),
